@@ -448,8 +448,8 @@ int StateHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entrie
       .Add("f1d_eager_seconds", replay_eager.seconds)
       .Add("f1d_lazy_seconds", replay_lazy.seconds)
       .Add("f1d_speedup", speedup)
-      .Add("runs_per_sec", runs_per_sec(replay_lazy))
-      .Add("runs_per_sec_eager", runs_per_sec(replay_eager))
+      .Add("f1d_runs_per_sec", runs_per_sec(replay_lazy))
+      .Add("f1d_runs_per_sec_eager", runs_per_sec(replay_eager))
       .Add("bytes_copied_per_run", bytes_per_run(replay_lazy))
       .Add("bytes_copied_per_run_eager", bytes_per_run(replay_eager))
       .Add("clones_avoided", lazy.clones_avoided + replay_lazy.clones_avoided)
@@ -580,147 +580,6 @@ int FanoutHeadToHead(size_t domains, size_t batch_size, uint64_t input_count, ui
       .Add("f1e_screen_cache_hits", batched.counters.screen_cache_hits);
   if (!identical) {
     std::printf("\nFAIL: batched narrow replies diverged from per-message replies\n");
-    return 1;
-  }
-  return 0;
-}
-
-// --- Parallel candidate solving head-to-head (F1f) ---------------------------
-//
-// Candidate solving dominates a *cold* exploration — the first visit to each
-// new router state; every checkpoint interval re-poses the negation queries
-// against an evolved table, so the real loop is a stream of mostly-fresh
-// solves. F1f replays that loop: `reps` explorations on one long-lived
-// Explorer, each against a freshly evolved wide-fanout provider state
-// (seed+rep), under the F1d adversarial import-path posture — serial vs
-// worker pools at equal budgets. Exploration results must be bit-identical
-// for every worker count; only the wall clock may move.
-
-struct ParallelSide {
-  double seconds = 0;
-  uint64_t total_runs = 0;
-  std::vector<sym::ConcolicStats> concolic;  // per exploration
-  std::vector<size_t> detections;            // per exploration
-  uint64_t runs_accepted = 0;                // across all explorations
-  uint64_t runs_rejected = 0;
-  uint64_t tasks_dispatched = 0;
-};
-
-ParallelSide RunParallelSide(size_t workers, uint64_t budget, uint64_t seed, size_t prefixes,
-                             size_t entries, size_t fanout, uint64_t reps) {
-  ExplorerOptions explorer_options;
-  explorer_options.concolic.max_runs = budget;
-  explorer_options.solver_workers = workers;
-  Explorer explorer(explorer_options);
-  explorer.AddChecker(std::make_unique<HijackChecker>());
-
-  // Adversarial seed: foreign space, mostly rejected (the leak-hunting
-  // posture) — every candidate the strategy yields goes through the solver.
-  bgp::UpdateMessage seed_update;
-  seed_update.attrs.origin = bgp::Origin::kIgp;
-  seed_update.attrs.as_path = bgp::AsPath::Sequence({1, 17557});
-  seed_update.attrs.next_hop = *bgp::Ipv4Address::Parse("10.0.0.1");
-  seed_update.nlri.push_back(*bgp::Prefix::Parse("198.51.100.0/24"));
-
-  ParallelSide side;
-  size_t detections_before = 0;
-  for (uint64_t rep = 0; rep < reps; ++rep) {
-    // A freshly evolved provider table per exploration (seed+rep), so the
-    // solver faces the genuinely new queries each checkpoint brings. Table
-    // construction and checkpointing stay outside the timed region.
-    Fig2Options options;
-    options.prefixes = prefixes;
-    options.seed = seed + rep;
-    options.misconfig = Misconfig::kErroneousEntry;
-    options.filter_entries = entries;
-    Fig2 fig2(options);
-    fig2.LoadTable();
-    bgp::RouterState state = fig2.provider().CheckpointState();
-    std::vector<bgp::PeerView> peers = fig2.provider().PeerViews();
-    AddFanoutPeers(state, peers, fanout);
-    explorer.TakeCheckpoint(state, peers, fig2.loop().now());
-
-    Stopwatch timer;
-    explorer.StartExploration(seed_update, Fig2::kCustomerNode);
-    while (explorer.Step()) {
-    }
-    side.seconds += timer.Seconds();
-    side.concolic.push_back(explorer.report().concolic);
-    side.detections.push_back(explorer.report().detections.size() - detections_before);
-    detections_before = explorer.report().detections.size();
-    side.total_runs += explorer.report().concolic.runs;
-    side.tasks_dispatched += explorer.report().concolic.solver_tasks_dispatched;
-  }
-  side.runs_accepted = explorer.report().runs_accepted;
-  side.runs_rejected = explorer.report().runs_rejected;
-  return side;
-}
-
-bool ParallelSidesIdentical(const ParallelSide& a, const ParallelSide& b) {
-  if (a.concolic.size() != b.concolic.size() || a.runs_accepted != b.runs_accepted ||
-      a.runs_rejected != b.runs_rejected || a.detections != b.detections) {
-    return false;
-  }
-  for (size_t i = 0; i < a.concolic.size(); ++i) {
-    if (a.concolic[i].runs != b.concolic[i].runs ||
-        a.concolic[i].unique_paths != b.concolic[i].unique_paths ||
-        a.concolic[i].branches_covered != b.concolic[i].branches_covered ||
-        a.concolic[i].solver_sat != b.concolic[i].solver_sat) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int ParallelHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entries,
-                       size_t fanout, uint64_t reps, JsonLine& json) {
-  std::printf(
-      "\nF1f — parallel candidate solving head-to-head (%zu-session fanout, %llu evolving\n"
-      "      checkpoints, equal budgets)\n\n",
-      fanout, static_cast<unsigned long long>(reps));
-
-  ParallelSide serial = RunParallelSide(0, runs, seed, prefixes, entries, fanout, reps);
-  auto runs_per_sec = [](const ParallelSide& s) {
-    return s.seconds <= 0 ? 0.0 : static_cast<double>(s.total_runs) / s.seconds;
-  };
-
-  Table table({"solver config", "wall s", "runs", "runs/s", "speedup", "solve tasks",
-               "identical"});
-  auto row = [&](const char* config, const ParallelSide& s, bool identical) {
-    table.AddRow({config, StrFormat("%.4f", s.seconds),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.total_runs)),
-                  StrFormat("%.0f", runs_per_sec(s)),
-                  StrFormat("%.2fx", serial.seconds / std::max(s.seconds, 1e-9)),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.tasks_dispatched)),
-                  identical ? "yes" : "DIVERGED"});
-  };
-  row("serial", serial, true);
-
-  bool identical = true;
-  double speedup_w4 = 0;
-  for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
-    ParallelSide side = RunParallelSide(workers, runs, seed, prefixes, entries, fanout, reps);
-    bool side_identical = ParallelSidesIdentical(serial, side);
-    identical = identical && side_identical;
-    row(StrFormat("workers=%zu", workers).c_str(), side, side_identical);
-    if (workers == 4) {
-      speedup_w4 = serial.seconds / std::max(side.seconds, 1e-9);
-      json.Add("f1f_runs_per_sec_w4", runs_per_sec(side));
-    }
-  }
-  table.Print();
-  std::printf("parallel solving: %.2fx at 4 workers, results %s "
-              "(pool width is capped by the machine's cores)\n",
-              speedup_w4, identical ? "identical" : "DIVERGED");
-
-  json.Add("f1f_fanout", static_cast<uint64_t>(fanout))
-      .Add("f1f_reps", reps)
-      .Add("workers", static_cast<uint64_t>(4))
-      .Add("f1f_identical", identical)
-      .Add("f1f_runs_per_sec_serial", runs_per_sec(serial))
-      .Add("f1f_speedup_w4", speedup_w4);
-  if (!identical) {
-    std::printf("\nFAIL: parallel candidate solving changed exploration results\n");
     return 1;
   }
   return 0;
@@ -896,7 +755,7 @@ int WarmRestartHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t 
   json.Add("f1g_fanout", static_cast<uint64_t>(fanout))
       .Add("f1g_snapshot_bytes", static_cast<uint64_t>(snapshot.size()))
       .Add("warm_cache_hit_rate", hit_rate)
-      .Add("runs_per_sec", runs_per_sec(warm))
+      .Add("f1g_warm_runs_per_sec", runs_per_sec(warm))
       .Add("f1g_preloaded_hits", wc.solver_cache_preloaded_hits)
       .Add("f1g_identical", identical);
   if (!identical) {
@@ -938,7 +797,6 @@ int Run(int argc, char** argv) {
   rc |= StateHeadToHead(runs, seed, prefixes, entries, fanout, hh_reps, replay_count, json);
   rc |= FanoutHeadToHead(remote_domains, std::max<size_t>(remote_batch, 1), rpc_inputs, seed,
                          json);
-  rc |= ParallelHeadToHead(runs, seed, prefixes, entries, fanout, hh_reps, json);
   rc |= WarmRestartHeadToHead(runs, seed, prefixes, entries, fanout, json);
   json.Print();
   return rc;

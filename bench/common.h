@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace dice::bench {
@@ -136,6 +138,8 @@ class Stopwatch {
 //   BENCH_JSON {"bench":"<name>",...}
 // line at the end of its run, so perf trajectories can be scraped into
 // BENCH_<name>.json files across PRs (grep '^BENCH_JSON' and strip the tag).
+// Keys are unique: adding one twice is a programming error (a JSON reader
+// would silently keep only one of the values).
 class JsonLine {
  public:
   explicit JsonLine(const std::string& bench) { Add("bench", bench); }
@@ -175,6 +179,7 @@ class JsonLine {
 
  private:
   void AppendKey(const std::string& key) {
+    DICE_CHECK(keys_.insert(key).second) << "duplicate BENCH_JSON key '" << key << "'";
     if (!fields_.empty()) {
       fields_ += ',';
     }
@@ -183,6 +188,7 @@ class JsonLine {
     fields_ += "\":";
   }
 
+  std::set<std::string> keys_;
   std::string fields_;
 };
 

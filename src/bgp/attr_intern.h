@@ -13,9 +13,9 @@
 // Entries hold weak_ptrs; a node's shared_ptr deleter erases its table entry,
 // so the table tracks exactly the live attribute sets. Thread-safe, like the
 // Expr table: the table is split into lock-striped shards (hash -> shard, one
-// mutex each), so concurrent interning from solver worker threads preserves
-// pointer identity. The table is heap-allocated and never destroyed so
-// statically stored handles can outlive it safely.
+// mutex each), so concurrent interning from the sharded simulator's shard
+// threads preserves pointer identity. The table is heap-allocated and never
+// destroyed so statically stored handles can outlive it safely.
 
 #ifndef SRC_BGP_ATTR_INTERN_H_
 #define SRC_BGP_ATTR_INTERN_H_

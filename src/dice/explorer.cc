@@ -28,15 +28,6 @@ std::string ExplorationReport::Summary() const {
     out += StrFormat(" preloaded_hits=%llu",
                      static_cast<unsigned long long>(concolic.solver_cache_preloaded_hits));
   }
-  if (concolic.solver_workers > 0) {
-    out += StrFormat(" workers=%llu solve_tasks=%llu shard_hits=",
-                     static_cast<unsigned long long>(concolic.solver_workers),
-                     static_cast<unsigned long long>(concolic.solver_tasks_dispatched));
-    for (size_t i = 0; i < concolic.solver_cache_shard_hits.size(); ++i) {
-      out += StrFormat(i == 0 ? "%llu" : ",%llu",
-                       static_cast<unsigned long long>(concolic.solver_cache_shard_hits[i]));
-    }
-  }
   if (first_detection_run.has_value()) {
     out += StrFormat(" first_detection_run=%llu",
                      static_cast<unsigned long long>(*first_detection_run));
@@ -45,17 +36,7 @@ std::string ExplorationReport::Summary() const {
 }
 
 Explorer::Explorer(ExplorerOptions options)
-    : options_(std::move(options)), solver_(options_.concolic.solver) {
-  if (options_.solver_workers > 0) {
-    options_.concolic.solver_workers = options_.solver_workers;
-  }
-  // Don't spawn threads a driver would decline (randomized strategy or
-  // cross-query model reuse — both keep the serial solve path).
-  if (options_.concolic.solver_workers > 0 &&
-      sym::ConcolicDriver::SolvingIsBatchable(options_.concolic)) {
-    solver_pool_ = std::make_unique<util::WorkerPool>(options_.concolic.solver_workers);
-  }
-}
+    : options_(std::move(options)), solver_(options_.concolic.solver) {}
 
 namespace {
 
@@ -73,7 +54,6 @@ sym::SolverStats SubtractStats(const sym::SolverStats& now, const sym::SolverSta
   d.cache_hits = now.cache_hits - base.cache_hits;
   d.cache_misses = now.cache_misses - base.cache_misses;
   d.cache_unsat_shortcuts = now.cache_unsat_shortcuts - base.cache_unsat_shortcuts;
-  d.cache_model_reuses = now.cache_model_reuses - base.cache_model_reuses;
   d.cache_preloaded_hits = now.cache_preloaded_hits - base.cache_preloaded_hits;
   return d;
 }
@@ -185,8 +165,7 @@ sym::Program Explorer::MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from) {
 
 void Explorer::StartExploration(const bgp::UpdateMessage& seed, bgp::PeerId from) {
   solver_stats_base_ = solver_.stats();
-  driver_ = std::make_unique<sym::ConcolicDriver>(options_.concolic, &solver_,
-                                                  solver_pool_.get());
+  driver_ = std::make_unique<sym::ConcolicDriver>(options_.concolic, &solver_);
   driver_->StartIncremental(MakeProgram(seed, from));
   report_.concolic = driver_->stats();
   report_.solver = SubtractStats(driver_->solver_stats(), solver_stats_base_);

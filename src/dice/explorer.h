@@ -26,7 +26,6 @@
 #include "src/dice/checkers.h"
 #include "src/dice/instrumented.h"
 #include "src/sym/concolic.h"
-#include "src/util/worker_pool.h"
 
 namespace dice {
 
@@ -42,13 +41,6 @@ struct ExplorerOptions {
   // pre-fast-path behavior, kept for head-to-head benches and regression
   // gates). Results are identical either way.
   bool lazy_clones = true;
-  // Worker threads for parallel candidate solving; 0 (the default) keeps the
-  // serial engine. The pool lives as long as the Explorer and is shared
-  // across seed explorations; runs, paths, coverage, and detections are
-  // bit-identical to the serial engine for every worker count (the
-  // ConcolicDriver merge discipline — see src/sym/concolic.h). Overrides
-  // concolic.solver_workers, which stays for direct ConcolicDriver users.
-  size_t solver_workers = 0;
 };
 
 // Aggregated copy-on-write statistics over all exploration clones.
@@ -137,9 +129,6 @@ class Explorer {
   // persists across seed explorations, which re-pose mostly identical
   // queries against the same router state.
   sym::Solver solver_;
-  // One worker pool for the Explorer's lifetime (null when solving is
-  // serial); drivers borrow it per exploration.
-  std::unique_ptr<util::WorkerPool> solver_pool_;
   // Solver counter values at StartExploration, so report_.solver covers only
   // the current exploration.
   sym::SolverStats solver_stats_base_;

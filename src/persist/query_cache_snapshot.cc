@@ -1,6 +1,7 @@
 #include "src/persist/query_cache_snapshot.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,8 +31,8 @@ constexpr uint8_t kMaxOp = static_cast<uint8_t>(Op::kLNot);
 
 // Bottom-up (children-first) node table builder. Index assignment is
 // deterministic: nodes are visited in the order serialization encounters
-// them, which Export() makes stable (entries sorted by key, cores in
-// publication order).
+// them — entries in structural order (see SerializeQueryCache), cores in
+// publication order.
 class NodeTable {
  public:
   uint32_t IndexOf(const ExprPtr& e) {
@@ -172,6 +173,21 @@ StatusOr<ExprPtr> RebuildNode(uint8_t op_raw, uint8_t bits, uint64_t imm, const 
   }
 }
 
+// Appends `e` in post-order — children first, then (op, bits, imm). Arity
+// follows from the op, so the encoding of a constraint sequence is unique
+// and, unlike an interned id, the same in every process.
+void PutTree(ByteWriter& w, const ExprPtr& e) {
+  if (e->lhs()) {
+    PutTree(w, e->lhs());
+  }
+  if (e->rhs()) {
+    PutTree(w, e->rhs());
+  }
+  w.PutU8(static_cast<uint8_t>(e->op()));
+  w.PutU8(e->bits());
+  w.PutU64(e->imm());
+}
+
 QueryKey KeyOf(const std::vector<ExprPtr>& constraints) {
   QueryKey key;
   key.reserve(constraints.size());
@@ -188,10 +204,36 @@ QueryKey KeyOf(const std::vector<ExprPtr>& constraints) {
 Bytes SerializeQueryCache(const sym::QueryCache& cache) {
   QueryCache::Exported exported = cache.Export();
 
+  // Entries are ordered by their constraint trees, not by interned ids: ids
+  // are process-local, so an id order would not survive a reload into a
+  // process whose ids were handed out differently. Distinct entries have
+  // distinct constraint sequences, so the order is total.
+  struct EntryRecord {
+    Bytes trees;
+    const QueryCache::Entry* entry;
+  };
+  std::vector<EntryRecord> records;
+  records.reserve(exported.entries.size());
+  for (const auto& [key, entry] : exported.entries) {
+    ByteWriter trees;
+    for (const ExprPtr& c : entry.constraints) {
+      PutTree(trees, c);
+    }
+    records.push_back(EntryRecord{trees.Take(), &entry});
+  }
+  // Compared as string_views: GCC 12 rejects the equivalent Bytes operator<
+  // with a false -Wstringop-overread under -Werror.
+  auto view = [](const Bytes& b) {
+    return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
+  };
+  std::sort(records.begin(), records.end(), [&view](const EntryRecord& a, const EntryRecord& b) {
+    return view(a.trees) < view(b.trees);
+  });
+
   // Pass 1: assign node-table indices in deterministic serialization order.
   NodeTable table;
-  for (const auto& [key, entry] : exported.entries) {
-    for (const ExprPtr& c : entry.constraints) {
+  for (const EntryRecord& record : records) {
+    for (const ExprPtr& c : record.entry->constraints) {
       table.IndexOf(c);
     }
   }
@@ -205,8 +247,9 @@ Bytes SerializeQueryCache(const sym::QueryCache& cache) {
   body.PutU64(exported.vars_fingerprint);
   table.Serialize(body);
 
-  body.PutU32(static_cast<uint32_t>(exported.entries.size()));
-  for (const auto& [key, entry] : exported.entries) {
+  body.PutU32(static_cast<uint32_t>(records.size()));
+  for (const EntryRecord& record : records) {
+    const QueryCache::Entry& entry = *record.entry;
     body.PutU8(static_cast<uint8_t>(entry.kind));
     body.PutU32(static_cast<uint32_t>(entry.constraints.size()));
     for (const ExprPtr& c : entry.constraints) {

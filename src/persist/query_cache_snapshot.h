@@ -30,8 +30,10 @@ namespace dice::persist {
 constexpr uint32_t kQueryCacheSnapshotMagic = 0x44585143;
 constexpr uint16_t kQueryCacheSnapshotVersion = 1;
 
-// Serializes the cache's current contents (a deterministic Export walk:
-// entries sorted by key, cores in publication order).
+// Serializes the cache's current contents: entries ordered by their
+// constraint trees, cores in publication order. The bytes depend only on the
+// cache's content, so a snapshot reloaded in another process (where the
+// interned ids differ) serializes back to the same bytes.
 Bytes SerializeQueryCache(const sym::QueryCache& cache);
 
 // Parses `bytes`, re-interns every expression in this process, and replaces

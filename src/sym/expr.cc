@@ -44,10 +44,10 @@ bool Expr::IsBool() const { return bits_ == 1; }
 // table tracks exactly the live nodes. The table is heap-allocated and never
 // destroyed so that statically stored ExprPtrs can outlive it safely.
 //
-// Thread safety (parallel candidate solving dispatches solves — which intern
-// through Expr::Negate — onto a worker pool): the table is split into
-// lock-striped shards keyed by the structural hash of the node identity, one
-// mutex per shard. Interning the same key from two threads serializes on the
+// Thread safety (the table is process-wide, so every thread that builds an
+// expression interns through it): the table is split into lock-striped
+// shards keyed by the structural hash of the node identity, one mutex per
+// shard. Interning the same key from two threads serializes on the
 // shard mutex, so both get the same node — pointer identity is preserved.
 // Node ids come from one atomic counter: unique and stable, though the
 // *order* ids are handed out in depends on thread interleaving; nothing

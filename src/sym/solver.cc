@@ -348,8 +348,7 @@ SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
 namespace {
 
 // Fingerprint of the variable universe (ids, widths, domain bounds): cached
-// verdicts and reuse models are only sound for the domains they were
-// computed under.
+// verdicts are only sound for the domains they were computed under.
 uint64_t VarsFingerprint(const std::vector<VarInfo>& vars) {
   uint64_t h = 0x2545f4914f6cdd1dULL;
   for (const VarInfo& v : vars) {
@@ -365,40 +364,25 @@ uint64_t VarsFingerprint(const std::vector<VarInfo>& vars) {
 
 // --- QueryCache --------------------------------------------------------------
 
-QueryCache::QueryCache(size_t max_entries, size_t max_cores, size_t shards)
-    : max_entries_per_shard_(std::max<size_t>(1, max_entries / std::max<size_t>(1, shards))),
-      max_cores_(max_cores) {
-  shards_.reserve(std::max<size_t>(1, shards));
-  for (size_t i = 0; i < std::max<size_t>(1, shards); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+QueryCache::QueryCache(size_t max_entries, size_t max_cores)
+    : max_entries_(std::max<size_t>(1, max_entries)), max_cores_(max_cores) {}
+
+void QueryCache::ResetIfVarsChanged(const std::vector<VarInfo>& vars) {
+  const uint64_t h = VarsFingerprint(vars);
+  if (vars_fingerprint_ == h) {
+    return;
   }
+  entries_.clear();
+  cores_.clear();
+  vars_fingerprint_ = h;
 }
 
-uint64_t QueryCache::ResetIfVarsChanged(const std::vector<VarInfo>& vars) {
-  const uint64_t h = VarsFingerprint(vars);
-  if (vars_fingerprint_.load(std::memory_order_acquire) == h) {
-    return h;  // steady state: no lock
-  }
-  std::lock_guard<std::mutex> fingerprint_lock(fingerprint_mu_);
-  if (vars_fingerprint_.load(std::memory_order_relaxed) == h) {
-    return h;  // another thread just did this reset
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard->mu);
-    shard->hashed_entries.clear();
-  }
-  {
-    std::unique_lock<std::shared_mutex> cores_lock(cores_mu_);
-    cores_.clear();
-  }
-  // Publish only after the clear, so a fast-path match can never observe
-  // entries from the previous universe.
-  vars_fingerprint_.store(h, std::memory_order_release);
-  return h;
+const QueryCache::Entry* QueryCache::Find(const QueryKey& key) const {
+  auto it = entries_.find(key);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool QueryCache::MatchesUnsatCore(const QueryKey& key, bool* matched_preloaded) const {
-  std::shared_lock<std::shared_mutex> lock(cores_mu_);
   for (const Core& core : cores_) {
     if (core.key.size() <= key.size() &&
         std::includes(key.begin(), key.end(), core.key.begin(), core.key.end())) {
@@ -412,19 +396,13 @@ bool QueryCache::MatchesUnsatCore(const QueryKey& key, bool* matched_preloaded) 
 }
 
 void QueryCache::Store(QueryKey key, Entry entry) {
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  if (shard.hashed_entries.size() >= max_entries_per_shard_) {
-    shard.hashed_entries.clear();
+  if (entries_.size() >= max_entries_) {
+    entries_.clear();
   }
-  shard.hashed_entries.insert_or_assign(std::move(key), std::move(entry));
+  entries_.insert_or_assign(std::move(key), std::move(entry));
 }
 
 void QueryCache::PublishCores(std::vector<Core> cores) {
-  if (cores.empty()) {
-    return;
-  }
-  std::unique_lock<std::shared_mutex> lock(cores_mu_);
   for (Core& core : cores) {
     bool duplicate = false;
     for (const Core& existing : cores_) {
@@ -445,62 +423,37 @@ void QueryCache::PublishCores(std::vector<Core> cores) {
 
 QueryCache::Exported QueryCache::Export() const {
   Exported out;
-  out.vars_fingerprint = vars_fingerprint_.load(std::memory_order_acquire);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mu);
-    out.entries.reserve(out.entries.size() + shard->hashed_entries.size());
-    // dice-lint: unordered-iteration-ok(collected wholesale, then sorted by key below)
-    for (const auto& [key, entry] : shard->hashed_entries) {
-      out.entries.emplace_back(key, entry);
-    }
+  out.vars_fingerprint = vars_fingerprint_;
+  out.entries.reserve(entries_.size());
+  // dice-lint: unordered-iteration-ok(collected wholesale; the snapshot serializer orders them)
+  for (const auto& [key, entry] : entries_) {
+    out.entries.emplace_back(key, entry);
   }
-  std::sort(out.entries.begin(), out.entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  {
-    std::shared_lock<std::shared_mutex> cores_lock(cores_mu_);
-    out.cores.assign(cores_.begin(), cores_.end());
-  }
+  out.cores.assign(cores_.begin(), cores_.end());
   return out;
 }
 
 void QueryCache::Import(Exported snapshot) {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard->mu);
-    shard->hashed_entries.clear();
-  }
-  {
-    std::unique_lock<std::shared_mutex> cores_lock(cores_mu_);
-    cores_.clear();
-    for (Core& core : snapshot.cores) {
-      if (cores_.size() >= max_cores_) {
-        break;
-      }
-      core.preloaded = true;
-      cores_.push_back(std::move(core));
+  entries_.clear();
+  cores_.clear();
+  for (Core& core : snapshot.cores) {
+    if (cores_.size() >= max_cores_) {
+      break;
     }
+    core.preloaded = true;
+    cores_.push_back(std::move(core));
   }
   for (auto& [key, entry] : snapshot.entries) {
-    Shard& shard = ShardFor(key);
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (shard.hashed_entries.size() >= max_entries_per_shard_) {
-      continue;  // capacity-capped import: keep what fits, stay warm
+    if (entries_.size() >= max_entries_) {
+      break;  // capacity-capped import: keep what fits, stay warm
     }
     entry.preloaded = true;
-    shard.hashed_entries.insert_or_assign(std::move(key), std::move(entry));
+    entries_.insert_or_assign(std::move(key), std::move(entry));
   }
-  // Publish the persisted universe fingerprint last: the first
-  // ResetIfVarsChanged after a warm start keeps these entries iff the live
-  // variable universe matches the one the snapshot was computed under.
-  vars_fingerprint_.store(snapshot.vars_fingerprint, std::memory_order_release);
-}
-
-std::vector<uint64_t> QueryCache::ShardHits() const {
-  std::vector<uint64_t> out;
-  out.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    out.push_back(shard->hits.load(std::memory_order_relaxed));
-  }
-  return out;
+  // The first ResetIfVarsChanged after a warm start keeps these entries iff
+  // the live variable universe matches the one the snapshot was computed
+  // under.
+  vars_fingerprint_ = snapshot.vars_fingerprint;
 }
 
 // --- Solver ------------------------------------------------------------------
@@ -509,31 +462,6 @@ Solver::Solver(SolverOptions options)
     : options_(options),
       rng_(options.seed),
       cache_(std::make_shared<QueryCache>(options.max_cache_entries, options.max_unsat_cores)) {}
-
-Solver::Solver(const SolverOptions& options, std::shared_ptr<QueryCache> cache)
-    : options_(options), rng_(options.seed), deterministic_only_(true),
-      cache_(std::move(cache)) {}
-
-std::vector<QueryCache::Core> Solver::TakeLearnedCores() {
-  std::vector<QueryCache::Core> out;
-  out.swap(pending_cores_);
-  return out;
-}
-
-void Solver::AbsorbStats(const SolverStats& s) {
-  stats_.queries += s.queries;
-  stats_.sat += s.sat;
-  stats_.unsat += s.unsat;
-  stats_.unknown += s.unknown;
-  stats_.fallback_used += s.fallback_used;
-  stats_.atoms_linearized += s.atoms_linearized;
-  stats_.atoms_nonlinear += s.atoms_nonlinear;
-  stats_.atoms_sliced += s.atoms_sliced;
-  stats_.cache_hits += s.cache_hits;
-  stats_.cache_misses += s.cache_misses;
-  stats_.cache_unsat_shortcuts += s.cache_unsat_shortcuts;
-  stats_.cache_model_reuses += s.cache_model_reuses;
-}
 
 namespace {
 
@@ -820,14 +748,6 @@ SolveResult Solver::SolveCore(const std::vector<ExprPtr>& query, const std::vect
       }
       if (list.empty()) {
         // Domain may be non-empty but all candidates excluded; sample a few.
-        if (deterministic_only_) {
-          // Worker-view solver: abort instead of drawing randomness. The
-          // driver replays this query on its serial solver, whose rng stream
-          // then advances exactly as the serial engine's would.
-          rng_needed_ = true;
-          core_used_rng_ = true;
-          return false;  // stop the whole expansion; result stays kUnknown
-        }
         core_used_rng_ = true;
         const Interval& d = domains[var];
         for (int k = 0; k < 8 && list.size() < 4; ++k) {
@@ -931,12 +851,6 @@ SolveResult Solver::SolveCore(const std::vector<ExprPtr>& query, const std::vect
   // Single stochastic fallback over one representative unresolved atom set
   // (hill climbing on the number of satisfied atoms; the last resort for
   // non-linear leftovers).
-  if (!found && have_fallback_set && !fallback_order.empty() && deterministic_only_) {
-    // The stochastic fallback draws randomness; flag for serial replay.
-    rng_needed_ = true;
-    core_used_rng_ = true;
-    have_fallback_set = false;
-  }
   if (!found && have_fallback_set && !fallback_order.empty()) {
     ++stats_.fallback_used;
     core_used_rng_ = true;
@@ -1047,7 +961,6 @@ void Solver::LearnUnsatCores(const std::vector<ExprPtr>& query, const std::vecto
 SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
                           const std::vector<VarInfo>& vars, const Assignment& hint) {
   ++stats_.queries;
-  rng_needed_ = false;
   SolveResult result;
 
   // Base assignment: hint completed with seeds, in dense VarId-indexed form —
@@ -1107,10 +1020,7 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
   // Cross-run query cache over the canonicalized (sorted interned-id) slice.
   QueryKey key;
   if (options_.enable_cache) {
-    if (uint64_t fp = cache_->ResetIfVarsChanged(vars); fp != vars_fingerprint_) {
-      vars_fingerprint_ = fp;
-      reuse_models_.clear();
-    }
+    cache_->ResetIfVarsChanged(vars);
     key.reserve(query->size());
     for (const ExprPtr& c : *query) {
       key.push_back(c->id());
@@ -1149,48 +1059,35 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
       return true;
     };
 
-    // Validation runs in place under the shard's shared lock (the visitor
-    // only reads the entry and writes this solver's locals) — a hit costs no
-    // Entry copy. The promotion/Store below happens outside the visitor, so
-    // the shard lock is never held recursively.
-    bool served = false;
-    bool served_preloaded = false;
-    const bool found = cache_->Lookup(key, [&](const QueryCache::Entry& entry) {
-      if (entry.kind == SolveKind::kUnsat) {
-        ++stats_.cache_hits;
+    const QueryCache::Entry* entry = cache_->Find(key);
+    if (entry != nullptr) {
+      // UNSAT is served as is. SAT and budget-exhausted verdicts are served
+      // only when the anchoring hint matches on the query's support (and the
+      // original solve drew no randomness — enforced at store time): under
+      // those conditions the cached verdict replays a fresh solve
+      // bit-for-bit.
+      bool served = false;
+      if (entry->kind == SolveKind::kUnsat) {
         ++stats_.unsat;
         result.kind = SolveKind::kUnsat;
         served = true;
-        served_preloaded = entry.preloaded;
-        return;
-      }
-      // SAT and budget-exhausted verdicts are served only when the anchoring
-      // hint matches on the query's support (and the original solve drew no
-      // randomness — enforced at store time): under those conditions the
-      // cached verdict replays a fresh solve bit-for-bit.
-      if (same_hint(entry)) {
-        if (entry.kind == SolveKind::kUnknown) {
-          ++stats_.cache_hits;
+      } else if (same_hint(*entry)) {
+        if (entry->kind == SolveKind::kUnknown) {
           ++stats_.unknown;
           result.kind = SolveKind::kUnknown;
           served = true;
-          served_preloaded = entry.preloaded;
-          return;
-        }
-        if (serve_sat(entry)) {
-          ++stats_.cache_hits;
-          served = true;
-          served_preloaded = entry.preloaded;
+        } else {
+          served = serve_sat(*entry);
         }
       }
-    });
-    if (served) {
-      if (served_preloaded) {
-        ++stats_.cache_preloaded_hits;
+      if (served) {
+        ++stats_.cache_hits;
+        if (entry->preloaded) {
+          ++stats_.cache_preloaded_hits;
+        }
+        return result;
       }
-      return result;
-    }
-    if (!found) {
+    } else {
       // Any superset of a proven-UNSAT constraint set is UNSAT.
       bool core_preloaded = false;
       if (cache_->MatchesUnsatCore(key, &core_preloaded)) {
@@ -1210,17 +1107,6 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
         promoted.preloaded = core_preloaded;
         cache_->Store(std::move(key), std::move(promoted));
         return result;
-      }
-      // Opt-in model reuse: a recent SAT model satisfying this query answers
-      // it (sound but not trajectory-preserving; see SolverOptions).
-      if (options_.enable_model_reuse) {
-        for (const QueryCache::Entry& entry : reuse_models_) {
-          if (serve_sat(entry)) {
-            ++stats_.cache_hits;
-            ++stats_.cache_model_reuses;
-            return result;
-          }
-        }
       }
     }
     ++stats_.cache_misses;
@@ -1249,9 +1135,7 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
 
   // SAT and UNKNOWN verdicts are replayable (and thus cacheable) only when
   // the solve drew no randomness; UNSAT is hint- and rng-independent because
-  // it is proven by interval refutation, not search. A worker-view solve
-  // that aborted for randomness (rng_needed_) produced no verdict at all and
-  // must not be cached either — core_used_rng_ covers that case too.
+  // it is proven by interval refutation, not search.
   const bool cacheable = result.kind == SolveKind::kUnsat || !core_used_rng_;
   if (options_.enable_cache && cacheable) {
     QueryCache::Entry entry;
@@ -1274,28 +1158,13 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
           }
         }
       }
-      if (options_.enable_model_reuse) {
-        reuse_models_.push_front(entry);
-        if (reuse_models_.size() > options_.max_reuse_models) {
-          reuse_models_.pop_back();
-        }
-      }
     } else if (result.kind == SolveKind::kUnsat) {
       // The full query is itself a proven-UNSAT core; the learner then tries
-      // to shrink it to reusable 1-2 atom cores. A serial solver publishes
-      // straight to the (shared) cache; a worker-view solver defers to
-      // pending_cores_ so the driver can merge at the batch boundary in
-      // deterministic candidate order.
+      // to shrink it to reusable 1-2 atom cores.
       std::vector<QueryCache::Core> learned;
       learned.push_back(QueryCache::Core{key, *query});
       LearnUnsatCores(*query, vars, base_dense, learned);
-      if (deterministic_only_) {
-        for (QueryCache::Core& core : learned) {
-          pending_cores_.push_back(std::move(core));
-        }
-      } else {
-        cache_->PublishCores(std::move(learned));
-      }
+      cache_->PublishCores(std::move(learned));
     }
     cache_->Store(std::move(key), std::move(entry));
   }

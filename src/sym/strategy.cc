@@ -116,7 +116,6 @@ std::optional<NegationCandidate> GenerationalStrategy::Next() {
   auto it = fresh_.empty() ? queue_.begin() : queue_.find(*fresh_.begin());
   uint64_t order = it->first;
   NegationCandidate out = std::move(it->second);
-  out.ticket = order;
   queue_.erase(it);
   if (fresh_.erase(order) != 0) {
     SiteOutcome target{out.negated().site, !out.negated().taken};
@@ -129,20 +128,6 @@ std::optional<NegationCandidate> GenerationalStrategy::Next() {
     }
   }
   return out;
-}
-
-void GenerationalStrategy::Requeue(NegationCandidate candidate) {
-  // Reclaim the original insertion-order slot; coverage has not changed
-  // between the pop and the requeue (the driver requeues before the SAT
-  // run's AddPath), so recomputing freshness restores the exact pre-pop
-  // index state.
-  const uint64_t order = candidate.ticket;
-  SiteOutcome target{candidate.negated().site, !candidate.negated().taken};
-  queue_.emplace(order, std::move(candidate));
-  if (covered_.count(target) == 0) {
-    fresh_.insert(order);
-    fresh_by_target_[target].insert(order);
-  }
 }
 
 // --- DfsStrategy -------------------------------------------------------------

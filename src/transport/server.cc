@@ -107,8 +107,12 @@ void ExplorationServer::Stop() {
     return;
   }
   stopping_.store(true, std::memory_order_release);
-  // Drain workers first so no task races the transport teardown below.
-  pool_.reset();
+  // Let in-flight worker tasks queue their replies while the transport
+  // threads still run to flush them. The pool itself outlives those threads:
+  // they read pool_ and may still submit until they are joined.
+  if (pool_ != nullptr) {
+    pool_->Drain();
+  }
   if (reactor_thread_.joinable()) {
     reactor_.Wakeup();
     reactor_thread_.join();
@@ -119,6 +123,7 @@ void ExplorationServer::Stop() {
       endpoint->thread.join();
     }
   }
+  pool_.reset();
   running_.store(false, std::memory_order_release);
 }
 

@@ -1,9 +1,9 @@
 // A fixed-size worker pool with a simple task queue and join-on-drain.
 //
-// The concurrency primitive behind parallel candidate solving: the concolic
-// driver submits one closure per negation candidate and calls Drain() to wait
-// for the batch, then merges verdicts back in deterministic candidate order
-// on the calling thread. The pool itself imposes no ordering — determinism is
+// The concurrency primitive behind the federation server's request workers
+// (transport::ExplorationServer) and the sharded event loop
+// (net::ShardedEventLoop): a submitter enqueues closures and calls Drain() to
+// wait for the batch. The pool itself imposes no ordering — determinism is
 // the submitter's job — and owns no task state beyond the queue.
 //
 // Threads are started once in the constructor and joined in the destructor;

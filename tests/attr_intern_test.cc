@@ -93,7 +93,7 @@ TEST(AttrInternTest, HeapBytesCountOwnedStorage) {
       << "AS path elements and communities must be charged";
 }
 
-// --- Concurrent interning (the lock-striped table behind parallel solving) ---
+// --- Concurrent interning (the lock-striped table) ----------------------------
 
 TEST(AttrInternTest, ConcurrentInterningAgreesOnPointerIdentity) {
   // N threads interning the same overlapping attribute sets must converge on

@@ -168,6 +168,10 @@ struct BadConfigCase {
   const char* expect_substring;
 };
 
+// Prints the case by name so the parameterized test names stay the same from
+// one build to the next; gtest would otherwise dump the raw pointer bytes.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class ConfigErrorTest : public ::testing::TestWithParam<BadConfigCase> {};
 
 TEST_P(ConfigErrorTest, Rejected) {

@@ -243,7 +243,7 @@ TEST(ValueTest, BitwiseOps) {
   EXPECT_EQ((x ^ Value(0b1111)).concrete(), 0b0011u);
 }
 
-// --- Concurrent interning (the lock-striped table behind parallel solving) ---
+// --- Concurrent interning (the lock-striped table) ----------------------------
 
 TEST(ExprInternTest, ConcurrentInterningAgreesOnPointerIdentity) {
   // N threads interning the same overlapping value universe must converge on

@@ -74,6 +74,12 @@ struct CoverCase {
   bool covers;
 };
 
+// Prints the case as text so the parameterized test names stay the same from
+// one build to the next; gtest would otherwise dump the raw pointer bytes.
+void PrintTo(const CoverCase& c, std::ostream* os) {
+  *os << c.outer << (c.covers ? " covers " : " misses ") << c.inner;
+}
+
 class PrefixCoverTest : public ::testing::TestWithParam<CoverCase> {};
 
 TEST_P(PrefixCoverTest, Covers) {

@@ -162,6 +162,27 @@ TEST(QueryCacheSnapshotTest, SecondSerializationIsDeterministic) {
   EXPECT_EQ(persist::SerializeQueryCache(reloaded), a);
 }
 
+TEST(QueryCacheSnapshotTest, ReloadAfterWriterIsGoneSerializesIdentically) {
+  Bytes snapshot;
+  {
+    ProviderFixture fixture;
+    snapshot = persist::SerializeQueryCache(*Explore(fixture)->query_cache());
+  }
+  // The writing explorer and its expressions are gone. Intern unrelated
+  // expressions — constants in descending order, some of which the snapshot
+  // also uses — so the reloaded nodes get ids in another relative order than
+  // the writer's did.
+  std::vector<sym::ExprPtr> unrelated;
+  for (uint64_t i = 4096; i-- > 0;) {
+    unrelated.push_back(sym::Expr::MakeConst(i, 32));
+    unrelated.push_back(sym::Expr::MakeConst(i, 8));
+  }
+  sym::QueryCache reloaded(4096, 256);
+  ASSERT_TRUE(persist::LoadQueryCache(snapshot, reloaded).ok());
+  EXPECT_EQ(persist::SerializeQueryCache(reloaded), snapshot)
+      << "snapshot bytes depend on process-local expression ids";
+}
+
 TEST(QueryCacheSnapshotTest, ImportMarksCoresPreloaded) {
   sym::QueryCache source(64, 8);
   sym::ExprPtr x = sym::Expr::MakeVar(0, 32);

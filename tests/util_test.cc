@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
+#include "bench/common.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
+#include "src/util/worker_pool.h"
 
 namespace dice {
 namespace {
@@ -322,6 +327,35 @@ TEST(StatusTest, MacrosPropagate) {
   EXPECT_TRUE(UseMacros(8, &out).ok());
   EXPECT_EQ(out, 4);
   EXPECT_EQ(UseMacros(3, &out).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WorkerPoolTest, ExecutesEveryTaskAndDrains) {
+  util::WorkerPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
+  std::vector<std::atomic<int>> counters(64);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < counters.size(); ++i) {
+      pool.Submit([&counters, i] { counters[i].fetch_add(1); });
+    }
+    pool.Drain();
+    for (size_t i = 0; i < counters.size(); ++i) {
+      EXPECT_EQ(counters[i].load(), round + 1);
+    }
+  }
+  EXPECT_EQ(pool.tasks_executed(), 3u * counters.size());
+}
+
+TEST(WorkerPoolTest, DrainOnEmptyPoolReturnsImmediately) {
+  util::WorkerPool pool(2);
+  pool.Drain();
+  EXPECT_EQ(pool.tasks_executed(), 0u);
+}
+
+TEST(JsonLineTest, RejectsDuplicateKey) {
+  bench::JsonLine json("unit");
+  json.Add("runs_per_sec", 1.0).Add("runs", uint64_t{3});
+  EXPECT_DEATH(json.Add("runs_per_sec", 2.0), "duplicate BENCH_JSON key 'runs_per_sec'");
+  EXPECT_DEATH(json.Add("bench", "again"), "duplicate BENCH_JSON key 'bench'");
 }
 
 }  // namespace

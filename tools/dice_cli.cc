@@ -12,7 +12,7 @@
 //            [--anycast=192.175.48.0/24,...] [--peer=<neighbor address>]
 //            [--inject=203.0.113.0/24:64500,...]
 //            [--remote_config=upstream.conf,...] [--remote_batch_size=N]
-//            [--solver_workers=N] [--sim_shards=N]
+//            [--sim_shards=N]
 //            [--state_dir=DIR] [--snapshot_every=N]
 //            [--serve=tcp:HOST:PORT,...] [--serve_peer_as=AS] [--serve_workers=N]
 //
@@ -20,10 +20,6 @@
 // synthetic table) is loaded as routes from the *first* configured neighbor
 // unless --peer selects another; exploration then runs on the *last*
 // configured neighbor's session (typically the customer).
-//
-// Parallel solving: --solver_workers=N (min 1) solves independent negation
-// candidates on an N-thread worker pool; results are bit-identical to the
-// default serial engine, only faster. Omit the flag for serial solving.
 //
 // Federation: each --remote_config entry is either a neighbor domain's
 // router config file (one block; it should configure a neighbor whose AS is
@@ -105,7 +101,7 @@ void PrintUsage(std::FILE* out) {
                "                [--runs=N] [--seed=N] [--seed-prefix=P] [--seed-asn=A]\n"
                "                [--anycast=P,...] [--peer=ADDR] [--inject=P:AS,...]\n"
                "                [--remote_config=F,...] [--remote_batch_size=N]\n"
-               "                [--solver_workers=N] [--sim_shards=N]\n"
+               "                [--sim_shards=N]\n"
                "                [--state_dir=DIR] [--snapshot_every=N]\n"
                "                [--serve=tcp:HOST:PORT|unix:/path|shm:/name,...]\n"
                "                [--serve_peer_as=AS] [--serve_workers=N]\n"
@@ -123,12 +119,12 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
   static const std::set<std::string> kKnownFlags = {
       "config",  "trace",       "prefixes", "runs",    "seed",
       "peer",    "seed-prefix", "seed-asn", "anycast", "inject",
-      "remote_config", "remote_batch_size", "solver_workers",
+      "remote_config", "remote_batch_size",
       "sim_shards", "state_dir", "snapshot_every",
       "serve", "serve_peer_as", "serve_workers",
   };
   static const std::set<std::string> kUintFlags = {
-      "prefixes", "runs", "seed", "seed-asn", "remote_batch_size", "solver_workers",
+      "prefixes", "runs", "seed", "seed-asn", "remote_batch_size",
       "sim_shards", "snapshot_every", "serve_peer_as", "serve_workers"};
   bool has_sim_shards = false;
   bool has_state_dir = false;
@@ -161,11 +157,6 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
     }
     if (key == "remote_batch_size" && *ParseUint64(value) == 0) {
       std::fprintf(stderr, "error: flag '--remote_batch_size' must be at least 1\n");
-      return 2;
-    }
-    if (key == "solver_workers" && *ParseUint64(value) == 0) {
-      std::fprintf(stderr, "error: flag '--solver_workers' must be at least 1 "
-                           "(omit the flag for serial solving)\n");
       return 2;
     }
     if (key == "sim_shards") {
@@ -468,7 +459,6 @@ int Run(int argc, char** argv) {
   const uint64_t runs = flags.GetUint("runs", 1000);
   const uint64_t seed = flags.GetUint("seed", 1);
   const uint64_t remote_batch_size = flags.GetUint("remote_batch_size", 64);
-  const uint64_t solver_workers = flags.GetUint("solver_workers", 0);  // 0 = serial
   const uint64_t sim_shards = flags.GetUint("sim_shards", 0);  // 0 = direct table load
   const std::string state_dir = flags.GetString("state_dir", "");
   const uint64_t snapshot_every = flags.GetUint("snapshot_every", 64);
@@ -711,11 +701,6 @@ int Run(int argc, char** argv) {
 
   ExplorerOptions options;
   options.concolic.max_runs = runs;
-  options.solver_workers = solver_workers;
-  if (solver_workers > 0) {
-    std::printf("parallel candidate solving: %llu worker(s)\n",
-                static_cast<unsigned long long>(solver_workers));
-  }
   DistributedExplorer explorer(options);
   explorer.set_remote_batch_size(remote_batch_size);
   auto checker = std::make_unique<HijackChecker>();

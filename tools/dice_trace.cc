@@ -23,10 +23,13 @@
 // live sharded simulator with --sim_shards) and runs the same exploration as
 // dice_cli: hijack checker plus the valley-free route-leak checker (armed by
 // `relationship` annotations in the config). Exit code 3 reports findings.
+// --rate (updates per second) must be positive and finite, and --duration_s
+// small enough to count in microseconds of sim time.
 //
 // Exit codes: 0 ok (no findings), 1 runtime error, 2 usage error, 3 findings.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -139,6 +142,9 @@ const CommandSpec* SpecFor(const std::string& command) {
   return nullptr;
 }
 
+// The longest --duration_s whose sim-time span (microseconds) fits a SimTime.
+constexpr uint64_t kMaxDurationSeconds = ~net::SimTime{0} / net::kSecond;
+
 // Same contract as dice_cli's ValidateArgs: rejects anything bench::Flags
 // would silently ignore or misread. Returns 0 to proceed, nonzero to exit
 // with that code (0 also for explicit --help, via *help_requested).
@@ -175,6 +181,19 @@ int ValidateArgs(const std::string& command, const CommandSpec& spec, int argc, 
     if (spec.real.count(key) != 0 && !ParsesAsDouble(value)) {
       std::fprintf(stderr, "error: flag '--%s' expects a number (got '%s')\n", key.c_str(),
                    value.c_str());
+      return 2;
+    }
+    if (key == "rate") {
+      const double rate = std::strtod(value.c_str(), nullptr);
+      if (!(rate > 0) || !std::isfinite(rate)) {
+        std::fprintf(stderr, "error: flag '--rate' must be a positive finite number (got '%s')\n",
+                     value.c_str());
+        return 2;
+      }
+    }
+    if (key == "duration_s" && *ParseUint64(value) > kMaxDurationSeconds) {
+      std::fprintf(stderr, "error: flag '--duration_s' must be at most %llu (got '%s')\n",
+                   static_cast<unsigned long long>(kMaxDurationSeconds), value.c_str());
       return 2;
     }
     if (key == "sim_shards" && *ParseUint64(value) == 0) {
